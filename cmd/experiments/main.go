@@ -40,8 +40,8 @@ func exhibits() []exhibit {
 		{"e7", report.E7Observability},
 		{"e8", report.E8Scenarios},
 		{"e9", report.E9FaultTolerance},
-		// e10 (HTTP serving under load) is bench-backed only — see
-		// cmd/benchserve and EXPERIMENTS.md.
+		// e10 (HTTP serving under load) is measured by perfbench, not
+		// rendered here — see EXPERIMENTS.md.
 		{"e11", report.E11IncrementalRisk},
 	}
 }

@@ -386,7 +386,7 @@ func recoverDurable(manBytes []byte, opt Options, log *persist.Log) (*Project, m
 	m.RestoreEvents(events)
 	p := &Project{mgr: m, riskMemo: monte.NewMemo(0)}
 	if opt.Obs.Enabled {
-		p.enableObs(opt.Obs)
+		p.enableObs()
 	}
 	if planVersion > 0 {
 		_, plan, err := m.Sched.PlanByVersion(planVersion)

@@ -149,11 +149,9 @@ type ObsOptions struct {
 	// Enabled turns on the metrics registry and the dual-clock span
 	// tracer. Off by default: an uninstrumented project pays only nil
 	// checks on the instrumented paths.
+	// The tracer retains at most obs.DefaultMaxSpans (16384) spans;
+	// later spans are dropped and counted (see TraceDropped).
 	Enabled bool
-	// MaxSpans bounds the retained trace spans; <= 0 selects
-	// obs.DefaultMaxSpans (16384). Spans past the bound are dropped and
-	// counted (see TraceDropped).
-	MaxSpans int
 }
 
 // Options configures a new Project.
@@ -216,21 +214,16 @@ func NewFromSchema(sch *Schema, opt Options) (*Project, error) {
 	}
 	p := &Project{mgr: m, riskMemo: monte.NewMemo(0)}
 	if opt.Obs.Enabled {
-		p.enableObs(opt.Obs)
+		p.enableObs()
 	}
 	return p, nil
 }
 
 // enableObs wires the project's observability: a metrics registry, a
-// span tracer with an explicit capacity (obs.DefaultMaxSpans unless
-// overridden), and the flight recorder that retains wide records of
-// the facade's expensive operations.
-func (p *Project) enableObs(o ObsOptions) {
-	maxSpans := o.MaxSpans
-	if maxSpans <= 0 {
-		maxSpans = obs.DefaultMaxSpans
-	}
-	p.obs = obs.NewWith(obs.NewRegistry(), obs.NewTracer(maxSpans))
+// span tracer bounded at obs.DefaultMaxSpans, and the flight recorder
+// that retains wide records of the facade's expensive operations.
+func (p *Project) enableObs() {
+	p.obs = obs.New()
 	p.flight = obs.NewFlightRecorder(0, 0)
 	p.flight.Instrument(p.obs.Metrics(), "flight")
 	p.mgr.Instrument(p.obs)
@@ -679,7 +672,7 @@ func (p *Project) TraceTree(maxDepth int) string {
 }
 
 // TraceDropped reports how many spans were discarded over the
-// ObsOptions.MaxSpans bound.
+// obs.DefaultMaxSpans bound.
 func (p *Project) TraceDropped() int64 { return p.obs.Tracer().Dropped() }
 
 // MilestoneStatus is a milestone report row (target vs projected/actual).
@@ -883,10 +876,6 @@ type RiskOptions struct {
 	// — the constant-memory path for very large trial counts, with a
 	// versioned bounded-error contract (see docs/risk.md).
 	Sketch bool
-	// NoReuse disables the project's subtree trial-stream memo for this
-	// call, forcing a cold simulation. Results are bit-identical either
-	// way; the memo only skips redundant sampling.
-	NoReuse bool
 }
 
 // SimulateRisk runs a Monte-Carlo schedule risk analysis for the targets:
@@ -903,10 +892,10 @@ func (p *Project) SimulateRisk(targets []string, trials int, seed int64) (*RiskR
 	return p.SimulateRiskWith(targets, RiskOptions{Trials: trials, Seed: seed})
 }
 
-// SimulateRiskWith is SimulateRisk with full engine options. Unless
-// opt.NoReuse is set, the run shares the project's subtree trial-stream
-// memo: re-simulations after an edit re-sample only the subtrees whose
-// fingerprint changed, bit-identical to a cold run.
+// SimulateRiskWith is SimulateRisk with full engine options. The run
+// shares the project's subtree trial-stream memo: re-simulations after
+// an edit re-sample only the subtrees whose fingerprint changed,
+// bit-identical to a cold run.
 func (p *Project) SimulateRiskWith(targets []string, opt RiskOptions) (*RiskResult, error) {
 	start := time.Now()
 	res, err := riskOf(nil, p.readMgr(), p.obs, p.Now(), p.riskMemo, nil, targets, opt)
@@ -922,9 +911,6 @@ func riskOf(ctx context.Context, m *engine.Manager, o *obs.Obs, now time.Time, m
 	models, err := riskModelsOf(m, targets)
 	if err != nil {
 		return nil, err
-	}
-	if opt.NoReuse {
-		memo = nil
 	}
 	return monte.Simulate(models, monte.Config{
 		Trials: opt.Trials, Seed: opt.Seed, Workers: opt.Workers,
@@ -1190,7 +1176,7 @@ func Load(snapshot []byte, opt Options) (*Project, error) {
 	}
 	p := &Project{mgr: m, riskMemo: monte.NewMemo(0)}
 	if opt.Obs.Enabled {
-		p.enableObs(opt.Obs)
+		p.enableObs()
 	}
 	if s.PlanVersion > 0 {
 		_, plan, err := m.Sched.PlanByVersion(s.PlanVersion)

@@ -44,10 +44,6 @@ type Options struct {
 	Project flowsched.Options
 	// Persist configures every project's WAL.
 	Persist flowsched.PersistOptions
-	// Prepare runs after a project is loaded or created, before it is
-	// served — the place to rebind tools (not persisted). Nil binds
-	// simulated tools to every activity.
-	Prepare func(*flowsched.Project) error
 	// Obs attaches registry-level metrics (per-tenant load/evict
 	// counters, resident gauges). Nil = uninstrumented.
 	Obs *obs.Obs
@@ -76,8 +72,10 @@ type entry struct {
 // Registry maps project IDs to resident projects. Safe for concurrent
 // use.
 type Registry struct {
-	opt     Options
-	prepare func(*flowsched.Project) error
+	opt Options
+
+	// onFinalize, when set, runs after each evicted instance closes.
+	onFinalize func(id string, p *flowsched.Project)
 
 	mu       sync.Mutex
 	projects map[string]*entry
@@ -105,12 +103,8 @@ func NewRegistry(opt Options) (*Registry, error) {
 	}
 	r := &Registry{
 		opt:      opt,
-		prepare:  opt.Prepare,
 		projects: make(map[string]*entry),
 		graves:   make(map[string]chan struct{}),
-	}
-	if r.prepare == nil {
-		r.prepare = func(p *flowsched.Project) error { return p.UseSimulatedTools() }
 	}
 	if m := opt.Obs.Metrics(); m != nil {
 		r.mLoads = m.BoundedCounterVec("host_project_loads_total", maxProjectLabels, "project")
@@ -272,8 +266,10 @@ func (r *Registry) acquire(id, schemaSrc string) (*Handle, error) {
 func (r *Registry) load(e *entry, schemaSrc string) (*Handle, error) {
 	recovered := r.exists(e.id)
 	p, err := flowsched.Open(r.dir(e.id), schemaSrc, r.opt.Project, r.opt.Persist)
-	if err == nil && r.prepare != nil {
-		if perr := r.prepare(p); perr != nil {
+	// Tool bindings are session state, not persisted: every loaded or
+	// created project is served with simulated tools bound.
+	if err == nil {
+		if perr := p.UseSimulatedTools(); perr != nil {
 			p.Close()
 			err = perr
 		}
@@ -369,6 +365,12 @@ func (r *Registry) evictLocked(e *entry) bool {
 	return e.refs == 0
 }
 
+// OnFinalize registers fn to run after each evicted project instance is
+// checkpointed and closed, so layers that keep state per instance (the
+// serving layer's per-project servers) can drop it. Call it before the
+// registry is shared.
+func (r *Registry) OnFinalize(fn func(id string, p *flowsched.Project)) { r.onFinalize = fn }
+
 // finalize checkpoints and closes an evicted project, then clears its
 // grave so waiting re-loads proceed.
 func (r *Registry) finalize(e *entry) error {
@@ -377,6 +379,9 @@ func (r *Registry) finalize(e *entry) error {
 	e.wmu.Lock()
 	err := e.project.Close()
 	e.wmu.Unlock()
+	if r.onFinalize != nil {
+		r.onFinalize(e.id, e.project)
+	}
 	r.mu.Lock()
 	delete(r.graves, e.id)
 	r.mu.Unlock()
@@ -527,10 +532,11 @@ func (r *Registry) ResidentBytes() int64 {
 	return total
 }
 
-// Close evicts and finalizes every resident project — the graceful
-// drain flushing all WALs. The caller must have released all handles;
-// Close finalizes regardless, so call it only after the serving layer
-// has drained.
+// Close evicts every resident project and finalizes the unpinned ones —
+// the graceful drain flushing all WALs. A project still pinned (a
+// handler that outlived the serving layer's drain, or one mid-load) is
+// finalized by its last Release, exactly as after Evict, so it is never
+// closed under a live reader nor closed twice.
 func (r *Registry) Close() error {
 	r.mu.Lock()
 	if r.closed {
@@ -538,20 +544,15 @@ func (r *Registry) Close() error {
 		return nil
 	}
 	r.closed = true
-	var list []*entry
+	var unpinned []*entry
 	for _, e := range r.projects {
-		list = append(list, e)
-	}
-	for _, e := range list {
-		r.evictLocked(e)
+		if r.evictLocked(e) {
+			unpinned = append(unpinned, e)
+		}
 	}
 	r.mu.Unlock()
 	var first error
-	for _, e := range list {
-		<-e.ready // never finalize a half-loaded project
-		if e.loadErr != nil {
-			continue
-		}
+	for _, e := range unpinned {
 		if err := r.finalize(e); err != nil && first == nil {
 			first = err
 		}

@@ -371,6 +371,37 @@ func TestCloseFlushesAll(t *testing.T) {
 	}
 }
 
+// TestCloseWhilePinnedFinalizesOnce: Close leaves a pinned project to
+// its last Release, which finalizes it exactly once — never under the
+// live handle, and never a second time (a double finalize closes the
+// grave channel twice and panics).
+func TestCloseWhilePinnedFinalizesOnce(t *testing.T) {
+	root := t.TempDir()
+	r := newRegistry(t, Options{Root: root})
+	want := createProject(t, r, "alpha")
+	h, err := r.Get("alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The pinned instance still serves reads after Close.
+	if got := versionOf(t, h); got != want {
+		t.Fatalf("pinned version after Close = %d, want %d", got, want)
+	}
+	h.Release() // the last pin finalizes: checkpoint and close the WAL
+	r2 := newRegistry(t, Options{Root: root})
+	h2, err := r2.Get("alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h2.Release()
+	if got := versionOf(t, h2); got != want {
+		t.Fatalf("recovered version %d, want %d", got, want)
+	}
+}
+
 // TestHandleReleaseIdempotent: double release must not corrupt the
 // refcount (a later evict would otherwise finalize while pinned).
 func TestHandleReleaseIdempotent(t *testing.T) {

@@ -5,9 +5,8 @@ import (
 	"testing"
 )
 
-// benchSimulate sweeps the engine over trial counts and worker counts;
-// cmd/benchrisk records the same sweep (over the heavier E6 ASIC model)
-// into BENCH_risk.json.
+// benchSimulate sweeps the engine over trial counts and worker counts
+// (memo-less, so every op samples all activity-trials).
 func benchSimulate(b *testing.B, trials, workers int) {
 	b.Helper()
 	acts := branchy()

@@ -325,20 +325,29 @@ func TestModelsFingerprint(t *testing.T) {
 	}
 }
 
+// BenchmarkColdSimulate and BenchmarkWarmAfterEdit price the subtree
+// memo: the edited model simulated cold, against the same simulation
+// after the unedited baseline primed the memo. Both report the
+// activity-trials each op sampled.
 func BenchmarkColdSimulate(b *testing.B) {
 	acts := edited("tb", 1.3)
 	cfg := Config{Trials: 20000, Seed: 7}
+	var sampled int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Simulate(acts, cfg); err != nil {
+		res, err := Simulate(acts, cfg)
+		if err != nil {
 			b.Fatal(err)
 		}
+		sampled += res.SampledActivityTrials
 	}
+	b.ReportMetric(float64(sampled)/float64(b.N), "sampled-activity-trials/op")
 }
 
 func BenchmarkWarmAfterEdit(b *testing.B) {
 	cfg := Config{Trials: 20000, Seed: 7}
 	acts := edited("tb", 1.3)
+	var sampled int64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		memo := NewMemo(0)
@@ -348,8 +357,11 @@ func BenchmarkWarmAfterEdit(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if _, err := Simulate(acts, primed); err != nil {
+		res, err := Simulate(acts, primed)
+		if err != nil {
 			b.Fatal(err)
 		}
+		sampled += res.SampledActivityTrials
 	}
+	b.ReportMetric(float64(sampled)/float64(b.N), "sampled-activity-trials/op")
 }

@@ -86,8 +86,6 @@ type Config struct {
 	// contract (see Sketch); percentiles carry a bounded relative
 	// error instead of being exact.
 	Sketch bool
-	// SketchBuckets overrides the sketch resolution (default 4096).
-	SketchBuckets int
 	// Obs, when non-nil, records a simulation span, trial counters,
 	// and — for runs whose shards are big enough to amortize the clock
 	// stamps — per-shard spans and timings. Instrumentation never
@@ -384,7 +382,7 @@ func simulate(acts []ActivityModel, cfg Config, order []int,
 	var proto *Sketch
 	if cfg.Sketch {
 		lo, hi := sketchBounds(acts, comp)
-		proto = newSketch(lo, hi, cfg.SketchBuckets)
+		proto = newSketch(lo, hi, defaultSketchBuckets)
 		res.Sketch = proto
 	} else {
 		res.Durations = make([]time.Duration, cfg.Trials)

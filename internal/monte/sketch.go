@@ -16,8 +16,8 @@ import (
 // error instead of exactness; see the versioned contract below.
 //
 // Determinism contract, version 1 (SketchVersion):
-//   - Bucket boundaries are a pure function of (model, SketchBuckets):
-//     K log-spaced edges between lo = max over activities of Min (a
+//   - Bucket boundaries are a pure function of the model: K = 4096
+//     log-spaced edges between lo = max over activities of Min (a
 //     valid lower bound on any project span) and hi = Σ over activities
 //     of iterationCap×Max (a valid upper bound).
 //   - Quantile estimates are the upper edge of the bucket holding the

@@ -82,8 +82,8 @@ func e11manager() (*engine.Manager, error) {
 	return m, nil
 }
 
-// e11edits mirrors cmd/benchstore's risk sweep: n single-activity
-// perturbations cycling over the flow's late-stage activities.
+// e11edits returns n single-activity perturbations cycling over the
+// flow's late-stage activities.
 func e11edits(n int) []scenario.Edit {
 	acts := []string{"DRC", "LVS", "STA", "GateSim", "Extract"}
 	edits := make([]scenario.Edit, n)

@@ -72,8 +72,9 @@ func (s *Space) SetMilestone(p *Plan, name, class string, target time.Time) (*st
 // (false for a view-bound space, where refreshes are computed in memory).
 func (s *Space) milestonesWritable() bool { return s.DB != nil }
 
-// Milestones returns the milestone instances for a plan version, sorted
-// by target date.
+// Milestones returns the milestone instances for a plan version and
+// their decoded milestones, index-aligned and sorted by target date
+// (ties keep store order).
 func (s *Space) Milestones(p *Plan) ([]*store.Entry, []Milestone, error) {
 	c := s.Reader().Container(MilestoneContainer)
 	if c == nil {
@@ -92,14 +93,22 @@ func (s *Space) Milestones(p *Plan) ([]*store.Entry, []Milestone, error) {
 		entries = append(entries, e)
 		ms = append(ms, m)
 	}
-	sort.SliceStable(ms, func(i, j int) bool { return ms[i].Target.Before(ms[j].Target) })
-	sort.SliceStable(entries, func(i, j int) bool {
-		var a, b Milestone
-		entries[i].Decode(&a)
-		entries[j].Decode(&b)
-		return a.Target.Before(b.Target)
-	})
+	sort.Stable(byTarget{entries, ms})
 	return entries, ms, nil
+}
+
+// byTarget sorts index-aligned milestone entries and their decoded
+// milestones together by target date.
+type byTarget struct {
+	entries []*store.Entry
+	ms      []Milestone
+}
+
+func (b byTarget) Len() int           { return len(b.ms) }
+func (b byTarget) Less(i, j int) bool { return b.ms[i].Target.Before(b.ms[j].Target) }
+func (b byTarget) Swap(i, j int) {
+	b.entries[i], b.entries[j] = b.entries[j], b.entries[i]
+	b.ms[i], b.ms[j] = b.ms[j], b.ms[i]
 }
 
 // RefreshMilestones updates milestone achievement from the plan's

@@ -69,12 +69,19 @@ func TestMilestonesSortedAndScoped(t *testing.T) {
 	early := t0.Add(5 * 24 * time.Hour)
 	sp.SetMilestone(&plan, "late", "performance", late)
 	sp.SetMilestone(&plan, "early", "netlist", early)
-	_, ms, err := sp.Milestones(&plan)
-	if err != nil || len(ms) != 2 {
+	sp.SetMilestone(&plan, "late-tie", "netlist", late) // ties "late": store order
+	entries, ms, err := sp.Milestones(&plan)
+	if err != nil || len(ms) != 3 || len(entries) != 3 {
 		t.Fatalf("milestones = %+v, %v", ms, err)
 	}
-	if ms[0].Name != "early" || ms[1].Name != "late" {
-		t.Fatalf("order = %v %v", ms[0].Name, ms[1].Name)
+	for i, want := range []string{"early", "late", "late-tie"} {
+		var m Milestone
+		if err := entries[i].Decode(&m); err != nil {
+			t.Fatal(err)
+		}
+		if ms[i].Name != want || m.Name != want {
+			t.Fatalf("order[%d] = milestone %q, entry %q; want %q", i, ms[i].Name, m.Name, want)
+		}
 	}
 	// A second plan sees no milestones from the first.
 	fx := newFixture(t, fig4, "performance")

@@ -28,7 +28,9 @@ import (
 // Per-project servers (mux, memo cache, fingerprint cache, request
 // metrics) are built lazily on first touch and rebuilt whenever the
 // registry hands back a different project instance (i.e. after an
-// evict + re-load), so caches never serve a stale instance.
+// evict + re-load), so caches never serve a stale instance. A server is
+// dropped when its instance is finalized, so evicted projects hold no
+// memory through it.
 type Host struct {
 	reg *host.Registry
 	opt Options
@@ -101,6 +103,7 @@ func NewHost(hostOpt host.Options, opt Options) (*Host, error) {
 		shed:     hreg.CounterVec("serve_shed_total", "route", "reason"),
 		tb:       newTenantBuckets(opt.TenantRate, opt.TenantBurst),
 	}
+	reg.OnFinalize(h.dropServer)
 	if opt.RetryAfter <= 0 {
 		opt.RetryAfter = time.Second
 		h.opt.RetryAfter = opt.RetryAfter
@@ -225,6 +228,17 @@ func (h *Host) serverFor(id string, p *flowsched.Project) *Server {
 	ps := &projServer{p: p, srv: New(p, opt)}
 	h.servers[id] = ps
 	return ps.srv
+}
+
+// dropServer forgets the per-project server built over a finalized
+// project instance. A server already rebuilt over a newer instance
+// stays.
+func (h *Host) dropServer(id string, p *flowsched.Project) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if ps, ok := h.servers[id]; ok && ps.p == p {
+		delete(h.servers, id)
+	}
 }
 
 // routeOf extracts the per-project route from a /p/{id}/... path for

@@ -320,3 +320,69 @@ func TestHostShutdownDrainsWALs(t *testing.T) {
 		t.Fatalf("version across graceful restart: %q vs %q", v1, v2)
 	}
 }
+
+// TestHostDropsServersOfFinalizedProjects: the per-project server map
+// holds only servers over resident instances. Evicting, reopening and
+// evicting a pinned project each leave no server behind for the
+// finalized instance (it would keep the closed project, its memo and
+// its caches reachable).
+func TestHostDropsServersOfFinalizedProjects(t *testing.T) {
+	h := newHost(t, t.TempDir(), Options{})
+	ids := []string{"alpha", "beta", "gamma"}
+	for _, id := range ids {
+		seedProject(t, h, id)
+		if rec := hostGet(t, h, "/p/"+id+"/status"); rec.Code != http.StatusOK {
+			t.Fatalf("%s status: %d", id, rec.Code)
+		}
+	}
+	// alpha: plain eviction. beta: reopen over HTTP, which finalizes
+	// the old instance and serves a new one. gamma: evicted while a
+	// request pins it.
+	if err := h.Projects().Evict("alpha"); err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest(http.MethodPost, "/p/beta/reopen", nil)
+	rec := httptest.NewRecorder()
+	h.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("reopen beta: %d %s", rec.Code, rec.Body)
+	}
+	if rec := hostGet(t, h, "/p/beta/status"); rec.Code != http.StatusOK {
+		t.Fatalf("beta status after reopen: %d", rec.Code)
+	}
+	h.afterPin = func(id string) {
+		if id == "gamma" {
+			h.Projects().Evict("gamma")
+		}
+	}
+	if rec := hostGet(t, h, "/p/gamma/status"); rec.Code != http.StatusOK {
+		t.Fatalf("gamma status: %d", rec.Code)
+	}
+	h.afterPin = nil
+
+	list, err := h.Projects().List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resident := map[string]*flowsched.Project{}
+	for _, pi := range list {
+		if pi.Resident {
+			hd, err := h.Projects().Get(pi.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resident[pi.ID] = hd.Project()
+			hd.Release()
+		}
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for id, ps := range h.servers {
+		if resident[id] != ps.p {
+			t.Errorf("servers[%q] holds a non-resident project instance", id)
+		}
+	}
+	if _, ok := h.servers["beta"]; !ok || len(h.servers) != 1 {
+		t.Errorf("servers holds %d entries, want only beta's", len(h.servers))
+	}
+}

@@ -72,10 +72,6 @@ type Options struct {
 	// trace is always retained. 0 selects the default 500ms; negative
 	// disables the slow path.
 	SlowTraceThreshold time.Duration
-	// FlightEntries and FlightSlowest size the flight recorder's recent
-	// ring and slowest-N tier (defaults obs.DefaultFlightRing and
-	// obs.DefaultFlightSlow).
-	FlightEntries, FlightSlowest int
 	// EnablePprof mounts the stdlib net/http/pprof handlers under
 	// /debug/pprof/. Off by default: profiles expose internals, so the
 	// operator opts in (flowservd -pprof).
@@ -199,7 +195,7 @@ func New(p *flowsched.Project, opt Options) *Server {
 		latency:       reg.HistogramVec("serve_request_seconds", LatencyBuckets, "route"),
 		storeVersion:  reg.Gauge("serve_store_version"),
 		projDropped:   reg.Gauge("project_trace_dropped_spans"),
-		flight:        obs.NewFlightRecorder(opt.FlightEntries, opt.FlightSlowest),
+		flight:        obs.NewFlightRecorder(0, 0),
 		traceKeeps:    reg.Counter("serve_trace_retained_total"),
 		traceDiscards: reg.Counter("serve_trace_discarded_total"),
 		shed:          reg.CounterVec("serve_shed_total", "route", "reason"),

@@ -267,23 +267,21 @@ func TestSSESlowConsumerDropped(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	deadline := time.After(5 * time.Second)
-	for {
-		select {
-		case _, ok := <-slow.ch:
-			if ok {
-				continue // drain the queued event; the close follows
-			}
-			if slow.reason != "slow" {
-				t.Fatalf("drop reason = %q, want slow", slow.reason)
-			}
-			if got := counterValue(s, "serve_sse_slow_dropped_total"); got < 1 {
-				t.Fatalf("serve_sse_slow_dropped_total = %v, want >= 1", got)
-			}
-			return
-		case <-deadline:
+	// Wait for the drop before reading the channel: the pump may still
+	// be broadcasting, and a reader draining each event as it lands is
+	// a consumer that keeps up, which is never dropped.
+	deadline := time.Now().Add(5 * time.Second)
+	for counterValue(s, "serve_sse_slow_dropped_total") < 1 {
+		if time.Now().After(deadline) {
 			t.Fatal("slow subscriber was never dropped")
 		}
+		time.Sleep(time.Millisecond)
+	}
+	for range slow.ch {
+		// the queued event; the close follows
+	}
+	if slow.reason != "slow" {
+		t.Fatalf("drop reason = %q, want slow", slow.reason)
 	}
 }
 

@@ -195,8 +195,8 @@ func (v *ProjectView) StatusReport(from, to time.Time) (string, error) {
 // SimulateRiskWith runs a Monte-Carlo schedule risk analysis from the
 // snapshot's virtual now. The stochastic model is derived from the live
 // tool bindings (tools are session configuration, not Level 3 state).
-// The run shares the project's subtree trial-stream memo unless
-// opt.NoReuse is set; reuse never changes the result.
+// The run shares the project's subtree trial-stream memo; reuse never
+// changes the result.
 func (v *ProjectView) SimulateRiskWith(targets []string, opt RiskOptions) (*RiskResult, error) {
 	return riskOf(v.ctx, v.m, v.obs, v.now, v.memo, v.span, targets, opt)
 }
